@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import datetime
+from itertools import repeat
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -140,10 +141,13 @@ class RoutingVector:
         """
         catalog = catalog or StateCatalog()
         nets = tuple(networks) if networks is not None else tuple(sorted(assignment))
-        codes = np.empty(len(nets), dtype=np.int32)
-        for i, network in enumerate(nets):
-            label = assignment.get(network, UNKNOWN)
-            codes[i] = catalog.code(label)
+        labels = list(map(assignment.get, nets, repeat(UNKNOWN)))
+        # Unseen labels get their codes in order of first occurrence.
+        for label in dict.fromkeys(labels):
+            catalog.code(label)
+        codes = np.fromiter(
+            map(catalog._codes.__getitem__, labels), dtype=np.int32, count=len(labels)
+        )
         return cls(nets, codes, catalog, time)
 
     # -- views ---------------------------------------------------------------

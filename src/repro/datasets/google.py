@@ -28,6 +28,7 @@ ERA_2013_START = datetime(2013, 5, 26)
 ERA_2013_DAYS = 3
 ERA_2024_START = datetime(2024, 2, 17)
 ERA_2024_DAYS = 60
+_ERA_2024_FROM = datetime(2020, 1, 1)  # sweeps from here on see the 2024 fleet
 
 
 @dataclass
@@ -69,7 +70,7 @@ def generate(
     ]
 
     def select(prefix: IPv4Prefix, when: datetime) -> str:
-        fleet = fleet_2013 if when < datetime(2020, 1, 1) else fleet_2024
+        fleet = fleet_2013 if when < _ERA_2024_FROM else fleet_2024
         return fleet.select(prefix, when)
 
     mapper = EcsMapper(

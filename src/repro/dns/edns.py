@@ -31,6 +31,12 @@ _OPTION_NSID = 3
 _OPTION_ECS = 8
 _FAMILY_IPV4 = 1
 
+_OPTION_HEADER = struct.Struct("!HH")  # option code, option length
+_ECS_HEADER = struct.Struct("!HBB")  # family, source length, scope length
+# A whole ECS option with all four address bytes; encode() truncates
+# the address to the source length's whole bytes.
+_ECS_OPTION = struct.Struct("!HHHBBI")
+
 
 @dataclass(frozen=True, slots=True)
 class ClientSubnet:
@@ -42,25 +48,30 @@ class ClientSubnet:
     def encode(self) -> bytes:
         source_length = self.prefix.length
         address_bytes = (source_length + 7) // 8
-        address = struct.pack("!I", self.prefix.network)[:address_bytes]
-        payload = (
-            struct.pack("!HBB", _FAMILY_IPV4, source_length, self.scope_length)
-            + address
-        )
-        return struct.pack("!HH", _OPTION_ECS, len(payload)) + payload
+        payload_length = _ECS_HEADER.size + address_bytes
+        return _ECS_OPTION.pack(
+            _OPTION_ECS,
+            payload_length,
+            _FAMILY_IPV4,
+            source_length,
+            self.scope_length,
+            self.prefix.network,
+        )[: _OPTION_HEADER.size + payload_length]
 
     @classmethod
     def decode(cls, payload: bytes) -> "ClientSubnet":
-        if len(payload) < 4:
+        if len(payload) < _ECS_HEADER.size:
             raise DnsError("truncated ECS option")
-        family, source_length, scope_length = struct.unpack("!HBB", payload[:4])
+        family, source_length, scope_length = _ECS_HEADER.unpack_from(payload)
         if family != _FAMILY_IPV4:
             raise DnsError(f"unsupported ECS family {family}")
+        if source_length > 32:
+            raise DnsError(f"ECS source length {source_length} exceeds 32")
         address_bytes = (source_length + 7) // 8
-        raw = payload[4 : 4 + address_bytes]
+        raw = payload[_ECS_HEADER.size : _ECS_HEADER.size + address_bytes]
         if len(raw) != address_bytes:
             raise DnsError("truncated ECS address")
-        network = int.from_bytes(raw.ljust(4, b"\0"), "big")
+        network = int.from_bytes(raw, "big") << (8 * (4 - address_bytes))
         mask = (0xFFFFFFFF << (32 - source_length)) & 0xFFFFFFFF if source_length else 0
         return cls(IPv4Prefix(network & mask, source_length), scope_length)
 
@@ -83,32 +94,34 @@ def add_client_subnet(message: DnsMessage, prefix: IPv4Prefix) -> DnsMessage:
     return message
 
 
-def _iter_options(message: DnsMessage):
+def _option(message: DnsMessage, wanted: int) -> Optional[bytes]:
+    """Payload of the first option ``wanted`` in the message's OPT records."""
     for record in message.additionals:
         if record.rtype != TYPE_OPT:
             continue
         offset = 0
         data = record.rdata
-        while offset + 4 <= len(data):
-            code, length = struct.unpack("!HH", data[offset : offset + 4])
+        end = len(data)
+        while offset + 4 <= end:
+            code, length = _OPTION_HEADER.unpack_from(data, offset)
             offset += 4
-            if offset + length > len(data):
+            if offset + length > end:
                 raise DnsError("truncated EDNS option")
-            yield code, data[offset : offset + length]
+            if code == wanted:
+                return data[offset : offset + length]
             offset += length
+    return None
 
 
 def extract_client_subnet(message: DnsMessage) -> Optional[ClientSubnet]:
     """The ECS option of a message's OPT record, if present."""
-    for code, payload in _iter_options(message):
-        if code == _OPTION_ECS:
-            return ClientSubnet.decode(payload)
-    return None
+    payload = _option(message, _OPTION_ECS)
+    return None if payload is None else ClientSubnet.decode(payload)
 
 
 def _append_option(message: DnsMessage, code: int, payload: bytes) -> DnsMessage:
     """Append an option to the message's OPT record, creating one if needed."""
-    option = struct.pack("!HH", code, len(payload)) + payload
+    option = _OPTION_HEADER.pack(code, len(payload)) + payload
     for index, record in enumerate(message.additionals):
         if record.rtype == TYPE_OPT:
             message.additionals[index] = ResourceRecord(
@@ -136,7 +149,5 @@ def extract_nsid(message: DnsMessage) -> Optional[str]:
     An empty NSID in a query means "please identify yourself" and is
     reported as an empty string; absence is None.
     """
-    for code, payload in _iter_options(message):
-        if code == _OPTION_NSID:
-            return payload.decode("ascii", errors="replace")
-    return None
+    payload = _option(message, _OPTION_NSID)
+    return None if payload is None else payload.decode("ascii", errors="replace")

@@ -41,8 +41,9 @@ class RecursiveResolver:
     resolver_prefix: IPv4Prefix = IPv4Prefix.from_string("198.51.100.0/24")
     queries_forwarded: int = 0
     cache_hits: int = 0
-    # Per (qname, qtype): a trie of announced answer scopes, so the
-    # scope-aware lookup is O(32) rather than a scan of all entries.
+    # Per (qname, qtype): an index of announced answer scopes, so the
+    # scope-aware lookup is one probe per stored scope length rather
+    # than a scan of all entries.
     _cache: dict[tuple[str, int], PrefixTrie[DnsMessage]] = field(default_factory=dict)
 
     def resolve(self, query: DnsMessage) -> DnsMessage:
@@ -83,7 +84,9 @@ class RecursiveResolver:
             )
         else:
             scope = IPv4Prefix(0, 0)  # scope 0: answer is location-independent
-        self._cache.setdefault(cache_key, PrefixTrie()).insert(scope, response)
+        if trie is None:
+            trie = self._cache[cache_key] = PrefixTrie()
+        trie.insert(scope, response)
         response.msg_id = query.msg_id
         return response
 
@@ -93,8 +96,7 @@ class RecursiveResolver:
     @staticmethod
     def make_query(name: str, qtype: int, prefix: Optional[IPv4Prefix], msg_id: int = 0) -> DnsMessage:
         """Convenience: an IN query with an optional ECS option."""
-        message = DnsMessage(msg_id=msg_id)
-        message.questions.append(Question(name, qtype))
+        message = DnsMessage(msg_id=msg_id, questions=[Question(name, qtype)])
         if prefix is not None:
             add_client_subnet(message, prefix)
         else:

@@ -24,6 +24,9 @@ __all__ = [
 ]
 
 _MAX32 = 0xFFFFFFFF
+# _MASKS[length] / _HOST_BITS[length]: the network and host bits of a /length.
+_MASKS = tuple((_MAX32 << (32 - length)) & _MAX32 for length in range(33))
+_HOST_BITS = tuple(~mask & _MAX32 for mask in _MASKS)
 _DOTTED_QUAD = re.compile(r"^(\d{1,3})\.(\d{1,3})\.(\d{1,3})\.(\d{1,3})$")
 
 
@@ -45,7 +48,10 @@ def _parse_dotted_quad(text: str) -> int:
 
 
 def _format_dotted_quad(value: int) -> str:
-    return ".".join(str((value >> shift) & 0xFF) for shift in (24, 16, 8, 0))
+    return (
+        f"{(value >> 24) & 0xFF}.{(value >> 16) & 0xFF}."
+        f"{(value >> 8) & 0xFF}.{value & 0xFF}"
+    )
 
 
 @dataclass(frozen=True, slots=True, order=True)
@@ -102,7 +108,7 @@ class IPv4Prefix:
             raise AddressError(f"prefix length out of range: {self.length}")
         if not 0 <= self.network <= _MAX32:
             raise AddressError(f"network out of range: {self.network}")
-        if self.network & ~self.mask & _MAX32:
+        if self.network & _HOST_BITS[self.length]:
             raise AddressError(
                 f"host bits set in {_format_dotted_quad(self.network)}/{self.length}"
             )
@@ -119,23 +125,20 @@ class IPv4Prefix:
         value = _parse_dotted_quad(addr_text)
         if not 0 <= length <= 32:
             raise AddressError(f"prefix length out of range: {text!r}")
-        mask = (_MAX32 << (32 - length)) & _MAX32 if length else 0
-        if value & ~mask & _MAX32:
+        if value & _HOST_BITS[length]:
             raise AddressError(f"host bits set in {text!r}")
         return cls(value, length)
 
     @classmethod
     def supernet_of(cls, address: IPv4Address | int, length: int) -> "IPv4Prefix":
         """The /length prefix containing ``address`` (host bits cleared)."""
-        value = int(address)
-        mask = (_MAX32 << (32 - length)) & _MAX32 if length else 0
-        return cls(value & mask, length)
+        # An out-of-range length gets no mask here; __post_init__ rejects it.
+        mask = _MASKS[length] if 0 <= length <= 32 else 0
+        return cls(int(address) & mask, length)
 
     @property
     def mask(self) -> int:
-        if self.length == 0:
-            return 0
-        return (_MAX32 << (32 - self.length)) & _MAX32
+        return _MASKS[self.length]
 
     def __str__(self) -> str:
         return f"{_format_dotted_quad(self.network)}/{self.length}"

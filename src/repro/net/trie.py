@@ -1,156 +1,110 @@
-"""Binary radix trie with longest-prefix match.
+"""Prefix index with longest-prefix match.
 
-BGP routing tables and hitlist lookups both need "which announced prefix
-covers this address" queries. This trie stores :class:`~repro.net.addr.IPv4Prefix`
-keys with arbitrary values and answers longest-prefix-match in O(32).
+BGP routing tables, hitlist lookups and the resolver's scope-aware
+answer cache all need "which stored prefix covers this address (or
+prefix)" queries. :class:`PrefixTrie` stores
+:class:`~repro.net.addr.IPv4Prefix` keys with arbitrary values in one
+hash table per prefix length. A lookup masks the address to each
+stored length, longest first, and probes that length's table, so its
+cost is one dict probe per *distinct* stored length (one for a cache
+that only holds /24 scopes), not one step per address bit.
 """
 
 from __future__ import annotations
 
 from typing import Generic, Iterator, Optional, TypeVar
 
-from .addr import IPv4Address, IPv4Prefix
+from .addr import _MASKS, IPv4Address, IPv4Prefix
 
 __all__ = ["PrefixTrie"]
 
 V = TypeVar("V")
 
-
-class _Node(Generic[V]):
-    __slots__ = ("children", "value", "has_value")
-
-    def __init__(self) -> None:
-        self.children: list[Optional["_Node[V]"]] = [None, None]
-        self.value: Optional[V] = None
-        self.has_value = False
-
-
-def _bit(value: int, position: int) -> int:
-    """Bit of a 32-bit value, position 0 = most significant."""
-    return (value >> (31 - position)) & 1
+_MISSING = object()
 
 
 class PrefixTrie(Generic[V]):
     """Maps IPv4 prefixes to values with longest-prefix-match lookup."""
 
+    __slots__ = ("_tables", "_probes")
+
     def __init__(self) -> None:
-        self._root: _Node[V] = _Node()
-        self._size = 0
+        # length -> {network: value}; a length is present only while its
+        # table is non-empty.
+        self._tables: dict[int, dict[int, V]] = {}
+        # (length, table, mask) of every present length, longest first.
+        self._probes: list[tuple[int, dict[int, V], int]] = []
 
     def __len__(self) -> int:
-        return self._size
+        return sum(map(len, self._tables.values()))
+
+    def _reindex(self) -> None:
+        self._probes = [
+            (length, self._tables[length], _MASKS[length])
+            for length in sorted(self._tables, reverse=True)
+        ]
 
     def insert(self, prefix: IPv4Prefix, value: V) -> None:
         """Insert or replace the value stored at ``prefix``."""
-        node = self._root
-        for position in range(prefix.length):
-            bit = _bit(prefix.network, position)
-            child = node.children[bit]
-            if child is None:
-                child = _Node()
-                node.children[bit] = child
-            node = child
-        if not node.has_value:
-            self._size += 1
-        node.value = value
-        node.has_value = True
+        table = self._tables.get(prefix.length)
+        if table is None:
+            table = self._tables[prefix.length] = {}
+            self._reindex()
+        table[prefix.network] = value
 
     def exact(self, prefix: IPv4Prefix) -> Optional[V]:
         """Value stored exactly at ``prefix``, or None."""
-        node = self._root
-        for position in range(prefix.length):
-            child = node.children[_bit(prefix.network, position)]
-            if child is None:
-                return None
-            node = child
-        return node.value if node.has_value else None
+        table = self._tables.get(prefix.length)
+        return None if table is None else table.get(prefix.network)
 
     def remove(self, prefix: IPv4Prefix) -> bool:
         """Remove the entry at ``prefix``. Returns True if it existed."""
-        node = self._root
-        for position in range(prefix.length):
-            child = node.children[_bit(prefix.network, position)]
-            if child is None:
-                return False
-            node = child
-        if not node.has_value:
+        table = self._tables.get(prefix.length)
+        if table is None or table.pop(prefix.network, _MISSING) is _MISSING:
             return False
-        node.has_value = False
-        node.value = None
-        self._size -= 1
+        if not table:
+            del self._tables[prefix.length]
+            self._reindex()
         return True
+
+    def covering(self, prefix: IPv4Prefix) -> Optional[tuple[IPv4Prefix, V]]:
+        """The most-specific stored prefix that contains all of ``prefix``."""
+        network = prefix.network
+        for length, table, mask in self._probes:
+            if length <= prefix.length:
+                stored = table.get(network & mask, _MISSING)
+                if stored is not _MISSING:
+                    match = IPv4Prefix(network & mask, length)
+                    return match, stored  # type: ignore[return-value]
+        return None
 
     def longest_match(
         self, address: IPv4Address | int
     ) -> Optional[tuple[IPv4Prefix, V]]:
         """The most-specific stored prefix covering ``address``, with value."""
-        value = int(address)
-        node = self._root
-        best: Optional[tuple[int, V]] = None
-        if node.has_value:
-            best = (0, node.value)  # type: ignore[arg-type]
-        for position in range(32):
-            child = node.children[_bit(value, position)]
-            if child is None:
-                break
-            node = child
-            if node.has_value:
-                best = (position + 1, node.value)  # type: ignore[arg-type]
-        if best is None:
-            return None
-        length, stored = best
-        return IPv4Prefix.supernet_of(value, length), stored
+        return self.covering(IPv4Prefix(int(address), 32))
 
     def lookup(self, address: IPv4Address | int) -> Optional[V]:
         """Value of the longest matching prefix, or None."""
-        match = self.longest_match(address)
+        match = self.covering(IPv4Prefix(int(address), 32))
         return match[1] if match else None
 
-    def covering(self, prefix: IPv4Prefix) -> Optional[tuple[IPv4Prefix, V]]:
-        """The most-specific stored prefix that contains all of ``prefix``."""
-        node = self._root
-        best: Optional[tuple[int, V]] = None
-        if node.has_value:
-            best = (0, node.value)  # type: ignore[arg-type]
-        for position in range(prefix.length):
-            child = node.children[_bit(prefix.network, position)]
-            if child is None:
-                break
-            node = child
-            if node.has_value:
-                best = (position + 1, node.value)  # type: ignore[arg-type]
-        if best is None:
-            return None
-        length, stored = best
-        return IPv4Prefix.supernet_of(prefix.network, length), stored
-
     def items(self) -> Iterator[tuple[IPv4Prefix, V]]:
-        """All (prefix, value) pairs, in trie (address) order."""
+        """All (prefix, value) pairs, in address order.
 
-        def walk(node: _Node[V], network: int, length: int) -> Iterator[tuple[IPv4Prefix, V]]:
-            if node.has_value:
-                yield IPv4Prefix(network, length), node.value  # type: ignore[misc]
-            for bit in (0, 1):
-                child = node.children[bit]
-                if child is not None:
-                    child_net = network | (bit << (31 - length))
-                    yield from walk(child, child_net, length + 1)
-
-        yield from walk(self._root, 0, 0)
+        Address order sorts by ``(network, length)``: a prefix comes
+        before the more-specific prefixes it contains.
+        """
+        keys = sorted(
+            (network, length)
+            for length, table in self._tables.items()
+            for network in table
+        )
+        for network, length in keys:
+            yield IPv4Prefix(network, length), self._tables[length][network]
 
     def __contains__(self, prefix: object) -> bool:
         if not isinstance(prefix, IPv4Prefix):
             return False
-        return self.exact(prefix) is not None or (
-            # exact() returns None also for stored None values; check flag path
-            self._has_exact(prefix)
-        )
-
-    def _has_exact(self, prefix: IPv4Prefix) -> bool:
-        node = self._root
-        for position in range(prefix.length):
-            child = node.children[_bit(prefix.network, position)]
-            if child is None:
-                return False
-            node = child
-        return node.has_value
+        table = self._tables.get(prefix.length)
+        return table is not None and prefix.network in table

@@ -20,19 +20,19 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
-from typing import Sequence
+from typing import Optional, Sequence
 
-from ..net.addr import IPv4Address, IPv4Prefix
+from ..net.addr import IPv4Prefix
 from ..net.geo import GeoPoint
 
 __all__ = ["stable_fraction", "GeoSite", "GeoFleet", "ChurnFleet"]
 
+_DAY = timedelta(days=1)
+
 
 def stable_fraction(*parts: object) -> float:
     """A deterministic value in [0, 1) from arbitrary key parts."""
-    digest = hashlib.blake2b(
-        "|".join(str(part) for part in parts).encode(), digest_size=8
-    ).digest()
+    digest = hashlib.blake2b("|".join(map(str, parts)).encode(), digest_size=8).digest()
     return int.from_bytes(digest, "big") / 2**64
 
 
@@ -108,7 +108,7 @@ class GeoFleet:
         drained = self._drained(when)
         ranked = self._ranked(location)
         if self.border_flux > 0:
-            day = (when - self.epoch) // timedelta(days=1)
+            day = (when - self.epoch) // _DAY
             if stable_fraction(prefix.network, "flux", day) < self.border_flux:
                 ranked = [ranked[1], ranked[0], *ranked[2:]] if len(ranked) > 1 else ranked
         preferred = next(label for label in ranked if label not in drained)
@@ -129,7 +129,7 @@ class GeoFleet:
         return preferred
 
 
-@dataclass
+@dataclass(frozen=True)
 class ChurnFleet:
     """Hash-assigned front-end selection with scheduled reshuffles.
 
@@ -138,6 +138,9 @@ class ChurnFleet:
     * every ``reshuffle_days`` the per-prefix assignment re-rolls,
       except a ``stable_share`` of prefixes pinned era-wide;
     * each day, ``daily_change`` of prefixes temporarily move.
+
+    The fleet is frozen: its draws are cached per prefix, which holds
+    only while the parameters they were drawn from cannot change.
     """
 
     num_frontends: int
@@ -146,6 +149,14 @@ class ChurnFleet:
     reshuffle_days: int = 7
     stable_share: float = 0.25
     daily_change: float = 0.10
+    # network -> its pinned bucket, or None when it re-rolls every period.
+    _pins: dict[int, Optional[int]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    # network -> (period, bucket) of the last period it was asked about.
+    _periods: dict[int, tuple[int, int]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.num_frontends <= 0:
@@ -158,23 +169,36 @@ class ChurnFleet:
     def _frontend(self, bucket: int) -> str:
         return f"fe-{self.era}-{bucket:04d}"
 
-    def select(self, prefix: IPv4Prefix, when: datetime) -> str:
-        days = (when - self.epoch) // timedelta(days=1)
-        period = days // self.reshuffle_days if self.reshuffle_days else 0
-        if stable_fraction(self.era, prefix.network, "pin") < self.stable_share:
-            bucket = _stable_index(self.num_frontends, self.era, prefix.network, "stable")
-        else:
-            bucket = _stable_index(
-                self.num_frontends, self.era, prefix.network, "period", period
-            )
-        if stable_fraction(self.era, prefix.network, "flux", days) < self.daily_change:
-            bucket = _stable_index(
-                self.num_frontends, self.era, prefix.network, "day", days
-            )
-        return self._frontend(bucket)
+    def _stable_bucket(self, network: int) -> Optional[int]:
+        """The era-wide bucket of a pinned prefix; None if it re-rolls.
 
-    def frontend_address(self, label: str) -> IPv4Address:
-        """A deterministic service address for one front-end label."""
-        return IPv4Address(
-            (203 << 24) | _stable_index(1 << 24, "addr", self.era, label)
-        )
+        Both draws depend only on ``(era, network)``, and a sweep asks
+        about the same prefixes every round, so each is hashed once per
+        prefix and fleet.
+        """
+        if network not in self._pins:
+            pinned = stable_fraction(self.era, network, "pin") < self.stable_share
+            self._pins[network] = (
+                _stable_index(self.num_frontends, self.era, network, "stable")
+                if pinned
+                else None
+            )
+        return self._pins[network]
+
+    def select(self, prefix: IPv4Prefix, when: datetime) -> str:
+        network = prefix.network
+        days = (when - self.epoch) // _DAY
+        bucket = self._stable_bucket(network)
+        if bucket is None:
+            period = days // self.reshuffle_days if self.reshuffle_days else 0
+            # Daily sweeps ask for the same period's bucket several times.
+            last = self._periods.get(network)
+            if last is None or last[0] != period:
+                drawn = _stable_index(
+                    self.num_frontends, self.era, network, "period", period
+                )
+                last = self._periods[network] = (period, drawn)
+            bucket = last[1]
+        if stable_fraction(self.era, network, "flux", days) < self.daily_change:
+            bucket = _stable_index(self.num_frontends, self.era, network, "day", days)
+        return self._frontend(bucket)

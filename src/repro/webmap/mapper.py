@@ -17,14 +17,23 @@ from datetime import datetime
 from typing import Callable, Optional, Sequence
 
 from ..dns.edns import ClientSubnet, make_opt_record
-from ..dns.message import DnsMessage, Question, RCODE_NOERROR, ResourceRecord, TYPE_A
+from ..dns.message import (
+    DnsMessage,
+    Question,
+    RCODE_NOERROR,
+    RCODE_NXDOMAIN,
+    ResourceRecord,
+    TYPE_A,
+)
 from ..dns.resolver import RecursiveResolver
-from ..net.addr import IPv4Address, IPv4Prefix
+from ..net.addr import IPv4Prefix
 
 __all__ = ["FrontendSelector", "EcsMapper"]
 
 # (client prefix, time) -> front-end label.
 FrontendSelector = Callable[[IPv4Prefix, datetime], str]
+
+_ANY = IPv4Prefix(0, 0)  # the client of a query without an ECS option
 
 
 @dataclass
@@ -42,30 +51,50 @@ class EcsMapper:
     query_failure_probability: float = 0.0
     address_to_label: dict[int, str] = field(default_factory=dict)
     queries_sent: int = 0
+    _label_to_address: dict[str, int] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
-    def _frontend_address(self, label: str) -> IPv4Address:
-        digest = hashlib.blake2b(label.encode(), digest_size=3).digest()
-        address = IPv4Address((203 << 24) | int.from_bytes(digest, "big"))
-        self.address_to_label[address.value] = label
+    def _frontend_address(self, label: str) -> int:
+        """The service address of ``label``, assigned once and never shared.
+
+        A 24-bit digest of the label picks an address in 203.0.0.0/8. A
+        label whose digest lands on an address another label holds takes
+        the next free one, so ``address_to_label`` stays injective and a
+        cached answer decodes to the label it was issued for.
+        """
+        address = self._label_to_address.get(label)
+        if address is None:
+            digest = hashlib.blake2b(label.encode(), digest_size=3).digest()
+            offset = int.from_bytes(digest, "big")
+            while (203 << 24) | offset in self.address_to_label:
+                offset = (offset + 1) & 0xFFFFFF
+            address = (203 << 24) | offset
+            self.address_to_label[address] = label
+            self._label_to_address[label] = address
         return address
 
     def _authoritative(self, when: datetime):
+        hostname = self.hostname.lower()
+
         def handle(question: Question, ecs: Optional[ClientSubnet]) -> DnsMessage:
-            response = DnsMessage(is_response=True, rcode=RCODE_NOERROR)
-            response.questions = [question]
-            if question.name.lower() != self.hostname.lower() or question.qtype != TYPE_A:
-                response.rcode = 3  # NXDOMAIN
-                return response
-            client = ecs.prefix if ecs else IPv4Prefix.from_string("0.0.0.0/0")
-            label = self.select(client, when)
-            response.answers.append(
-                ResourceRecord.a(question.name, self._frontend_address(label).value)
-            )
-            if ecs is not None:
-                response.additionals.append(
-                    make_opt_record(ClientSubnet(ecs.prefix, self.scope_length))
+            if question.name.lower() != hostname or question.qtype != TYPE_A:
+                return DnsMessage(
+                    is_response=True, rcode=RCODE_NXDOMAIN, questions=[question]
                 )
-            return response
+            label = self.select(ecs.prefix if ecs else _ANY, when)
+            answer = ResourceRecord.a(question.name, self._frontend_address(label))
+            return DnsMessage(
+                is_response=True,
+                rcode=RCODE_NOERROR,
+                questions=[question],
+                answers=[answer],
+                additionals=(
+                    [make_opt_record(ClientSubnet(ecs.prefix, self.scope_length))]
+                    if ecs is not None
+                    else []
+                ),
+            )
 
         return handle
 

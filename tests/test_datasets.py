@@ -7,6 +7,8 @@ qualitative property asserted — the full-scale versions live in
 
 from __future__ import annotations
 
+import hashlib
+import io
 from collections import Counter
 from datetime import datetime, timedelta
 
@@ -23,6 +25,7 @@ from repro.core import (
     validate_events,
 )
 from repro.datasets import broot, google, groot, groundtruth, usc, wikipedia
+from repro.io.formats import write_series_jsonl
 
 
 @pytest.fixture(scope="module")
@@ -216,6 +219,34 @@ class TestGoogle:
         sim = similarity_matrix(google_study.series)
         assert sim[0, 30] == pytest.approx(0.0, abs=0.01)
         assert sim[0, 1] > 0.5  # but 2013 era is self-similar day to day
+
+
+class TestEcsGoldenSeries:
+    """The EDNS-CS datasets byte for byte.
+
+    Each digest is the sha256 of the ``write_series_jsonl`` bytes of one
+    generated series. The sweep runs through the resolver, its cache
+    and the ECS codec, so a substrate change that moves a single label
+    of any prefix on any day changes the digest.
+    """
+
+    @staticmethod
+    def digest(series) -> str:
+        stream = io.StringIO()
+        write_series_jsonl(series, stream)
+        return hashlib.sha256(stream.getvalue().encode()).hexdigest()
+
+    def test_google(self):
+        series = google.generate(num_prefixes=200).series
+        assert self.digest(series) == (
+            "1b3efe3b8938ad4482c8e8d3530a921092032bdf37002853072bba21dc90109c"
+        )
+
+    def test_wikipedia(self):
+        series = wikipedia.generate(num_prefixes=200, cadence=timedelta(days=2)).series
+        assert self.digest(series) == (
+            "36d301c5570ff3255a55540b4b256ba423a61b2782b635db7cb54d13a69de7be"
+        )
 
 
 class TestGroundTruth:

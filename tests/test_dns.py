@@ -153,6 +153,13 @@ class TestEdns:
         with pytest.raises(DnsError):
             ClientSubnet.decode(payload)
 
+    def test_decode_rejects_source_length_beyond_32(self):
+        # Five address bytes for a /40: a malformed option from the wire
+        # must raise DnsError, not a bare ValueError from the masking.
+        payload = b"\x00\x01\x28\x00" + b"\x01" * 5
+        with pytest.raises(DnsError):
+            ClientSubnet.decode(payload)
+
     @given(
         st.integers(min_value=0, max_value=0xFFFFFFFF),
         st.integers(min_value=0, max_value=32),

@@ -1,4 +1,4 @@
-"""Tests for the radix trie, including an LPM-vs-linear-scan oracle."""
+"""Tests for the prefix index, checked against a linear-scan oracle."""
 
 from __future__ import annotations
 
@@ -114,3 +114,65 @@ class TestAgainstLinearScan:
             trie.insert(prefix, value)
         assert dict(trie.items()) == entries
         assert len(trie) == len(entries)
+
+    @given(
+        st.dictionaries(prefix_strategy, st.integers(), max_size=40),
+        st.lists(prefix_strategy, max_size=20),
+    )
+    def test_covering_matches_linear_reference(self, entries, queries):
+        trie: PrefixTrie[int] = PrefixTrie()
+        for prefix, value in entries.items():
+            trie.insert(prefix, value)
+        for query in [*queries, *entries]:
+            containing = [p for p in entries if query in p]
+            if containing:
+                best = max(containing, key=lambda p: p.length)
+                assert trie.covering(query) == (best, entries[best])
+            else:
+                assert trie.covering(query) is None
+
+    @given(
+        st.dictionaries(
+            prefix_strategy, st.one_of(st.none(), st.integers()), max_size=30
+        ),
+        st.lists(prefix_strategy, max_size=20),
+    )
+    def test_exact_and_contains_match_reference(self, entries, probes):
+        trie: PrefixTrie[int | None] = PrefixTrie()
+        for prefix, value in entries.items():
+            trie.insert(prefix, value)
+        for probe in [*probes, *entries]:
+            assert (probe in trie) == (probe in entries)
+            assert trie.exact(probe) == entries.get(probe)
+
+    @given(
+        st.dictionaries(prefix_strategy, st.integers(), max_size=30),
+        st.lists(prefix_strategy, max_size=20),
+        st.lists(st.integers(min_value=0, max_value=0xFFFFFFFF), max_size=10),
+    )
+    def test_remove_matches_reference(self, entries, removals, queries):
+        trie: PrefixTrie[int] = PrefixTrie()
+        for prefix, value in entries.items():
+            trie.insert(prefix, value)
+        remaining = dict(entries)
+        for prefix in [*removals, *list(entries)[::2]]:
+            assert trie.remove(prefix) == (prefix in remaining)
+            remaining.pop(prefix, None)
+            assert prefix not in trie
+        assert len(trie) == len(remaining)
+        assert dict(trie.items()) == remaining
+        for query in queries:
+            matching = [p for p in remaining if query in p]
+            if matching:
+                best = max(matching, key=lambda p: p.length)
+                assert trie.lookup(query) == remaining[best]
+            else:
+                assert trie.lookup(query) is None
+
+    @given(st.dictionaries(prefix_strategy, st.integers(), max_size=30))
+    def test_items_in_network_then_length_order(self, entries):
+        trie: PrefixTrie[int] = PrefixTrie()
+        for prefix, value in entries.items():
+            trie.insert(prefix, value)
+        keys = [prefix for prefix, _value in trie.items()]
+        assert keys == sorted(entries, key=lambda p: (p.network, p.length))
